@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "distill/distill.hpp"
 
@@ -161,6 +162,13 @@ void Fuzzer::next_packet_into(const model::DataModel*& used_model,
   }
 }
 
+// A sampling interval that shares a factor with the persistent child's
+// recycle budget lands its samples on the same phase of every recycle
+// cycle (every sample was a fresh fork when the interval divided it).
+static_assert(std::gcd(telem::kLatencySampleInterval,
+                       std::uint64_t{ExecBackendConfig{}.persistent_budget}) ==
+              1);
+
 ExecResult Fuzzer::step() { return step_fast(); }
 
 const ExecResult& Fuzzer::step_fast() {
@@ -168,12 +176,12 @@ const ExecResult& Fuzzer::step_fast() {
   const model::DataModel* used_model = nullptr;
   next_packet_into(used_model, packet_scratch_);
   const Bytes& packet = packet_scratch_;
-  // Latency is sampled every 64th execution, decided on the execution
+  // Latency is sampled every 61st execution, decided on the execution
   // count — deterministic across repeats — so the ~40ns clock-read pair
   // amortizes to well under a nanosecond of per-execution cost.
   const bool sample_latency =
       telemetry.enabled() &&
-      (executor_.executions() & (telem::kLatencySampleInterval - 1)) == 0;
+      executor_.executions() % telem::kLatencySampleInterval == 0;
   const std::uint64_t latency_start = sample_latency ? telemetry.now_ns() : 0;
   executor_.run_into(target_, packet, exec_scratch_);
   ExecResult& result = exec_scratch_;

@@ -616,6 +616,17 @@ void tcp_session_end() {
   g_tcp.conn_fd = -1;
 }
 
+/// One response write on the tracked connection: advance the served
+/// counter and wake the client. The wake is a syscall, so the target's
+/// errno is saved around it.
+void tcp_served(ssize_t written) {
+  const int saved_errno = errno;
+  ++g_tcp.served;
+  session::sync_publish_served(g_segment, g_tcp.served,
+                               static_cast<std::uint32_t>(written));
+  errno = saved_errno;
+}
+
 /// First successful listen(): report the real bound port through the TCP
 /// hello. Also the first moment the target's guard tables are registered,
 /// so the info block gets published here.
@@ -805,11 +816,7 @@ ssize_t write(int fd, const void* buf, size_t count) {
   static auto real = reinterpret_cast<ssize_t (*)(int, const void*, size_t)>(
       ::dlsym(RTLD_NEXT, "write"));
   const ssize_t rc = real(fd, buf, count);
-  if (rc > 0 && g_tcp.active && fd == g_tcp.conn_fd) {
-    ++g_tcp.served;
-    session::sync_publish_served(g_segment, g_tcp.served,
-                                 static_cast<std::uint32_t>(rc));
-  }
+  if (rc > 0 && g_tcp.active && fd == g_tcp.conn_fd) tcp_served(rc);
   return rc;
 }
 
@@ -820,11 +827,7 @@ ssize_t send(int fd, const void* buf, size_t count, int flags) {
       reinterpret_cast<ssize_t (*)(int, const void*, size_t, int)>(
           ::dlsym(RTLD_NEXT, "send"));
   const ssize_t rc = real(fd, buf, count, flags);
-  if (rc > 0 && g_tcp.active && fd == g_tcp.conn_fd) {
-    ++g_tcp.served;
-    session::sync_publish_served(g_segment, g_tcp.served,
-                                 static_cast<std::uint32_t>(rc));
-  }
+  if (rc > 0 && g_tcp.active && fd == g_tcp.conn_fd) tcp_served(rc);
   return rc;
 }
 
@@ -832,7 +835,11 @@ int close(int fd) {
   using namespace icsfuzz::inject_rt;
   static auto real =
       reinterpret_cast<int (*)(int)>(::dlsym(RTLD_NEXT, "close"));
-  if (g_tcp.active && fd >= 0 && fd == g_tcp.conn_fd) tcp_session_end();
+  if (g_tcp.active && fd >= 0 && fd == g_tcp.conn_fd) {
+    const int saved_errno = errno;  // the target's errno is not ours
+    tcp_session_end();
+    errno = saved_errno;
+  }
   return real(fd);
 }
 

@@ -240,19 +240,19 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     return now >= deadline ? 0 : static_cast<int>(deadline - now);
   }
 
-  /// Polls a shm counter up to the deadline: a short busy-spin for the
-  /// common sub-millisecond reply, then a sleeping loop.
+  /// Waits for a shm counter to reach `expected` by the deadline, asleep
+  /// on the sync block's wake word between checks (session_wire.hpp has
+  /// the ordering that makes a lost wake-up impossible).
   template <typename Load>
   bool wait_counter(Load load, std::uint64_t expected,
                     std::uint64_t deadline) {
-    for (int spin = 0; spin < 4096; ++spin) {
+    for (;;) {
+      const std::uint32_t seen = sync_load_wake(segment_.data());
       if (load() >= expected) return true;
+      if (!sync_wait(segment_.data(), seen, remaining_ms(deadline))) {
+        return load() >= expected;
+      }
     }
-    while (deadline == 0 || monotonic_ms() < deadline) {
-      if (load() >= expected) return true;
-      ::usleep(100);
-    }
-    return load() >= expected;
   }
 
   bool ensure_server() {
@@ -406,8 +406,13 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     return fd;
   }
 
-  /// RST close (SO_LINGER 0): one connection per session must not pile up
-  /// TIME_WAIT entries at campaign execution rates.
+  /// RST close (SO_LINGER 0). This alone cannot keep the client out of
+  /// TIME_WAIT: after our half-close, a server FIN that arrives first
+  /// parks the socket there before this close runs. The shim's server
+  /// therefore resets its end too (tcp_server.cpp); a preload target that
+  /// closes normally still leaves one entry per session
+  /// (docs/INJECTION.md). On the failure paths the RST tears down a
+  /// session the server never finished.
   static void close_abortive(int fd) {
     struct linger lg {1, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);

@@ -175,6 +175,14 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
     if (conn < 0) continue;
     const int nodelay = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
+    // RST close (SO_LINGER 0). After the client's half-close, a plain
+    // close here would send our FIN first and park every client socket in
+    // TIME_WAIT — one per session, up against the kernel's bucket limit at
+    // campaign rates. Safe: close follows sync_publish_session_done, and
+    // on loopback every response byte already sits in the client's
+    // receive queue, which an incoming reset leaves readable.
+    const struct linger abortive {1, 0};
+    ::setsockopt(conn, SOL_SOCKET, SO_LINGER, &abortive, sizeof abortive);
 
     bool shutdown = false;
     serve_session(target, framing, conn, segment.data(), dirty, served,

@@ -24,11 +24,13 @@
 
 namespace icsfuzz::telem {
 
-/// Exec-latency clock sampling: one steady-clock read pair every 64th
+/// Exec-latency clock sampling: one steady-clock read pair every 61st
 /// execution (decided on the execution count, so sampling is deterministic
 /// and identical across repeats), amortizing the ~40ns cost to well under
-/// a nanosecond per execution.
-inline constexpr std::uint64_t kLatencySampleInterval = 64;
+/// a nanosecond per execution. The interval is prime, so it never aliases
+/// with a power-of-two period such as the persistent child's recycle budget
+/// (fuzzer.cpp asserts that).
+inline constexpr std::uint64_t kLatencySampleInterval = 61;
 
 class Telemetry {
  public:

@@ -6,7 +6,9 @@
 //
 //   * instrumented demo (sancov flags + no-op stubs): edges visibly
 //     accumulate in the CoverageMap, the inject-info block advertises
-//     sancov, persistent mode engages through the cooperation hooks,
+//     sancov, persistent mode engages through the cooperation hooks, and
+//     the runtime's TCP mode (`demo --serve` under BackendKind::kTcp)
+//     completes sessions through its write/close interposers,
 //   * plain demo (no sancov): runs fault-driven — zero events, empty map,
 //     but crash/hang/OOM classification still exact,
 //   * fault differential: the classification of the demo's deliberate
@@ -22,6 +24,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -182,6 +185,52 @@ TEST(Inject, PersistentOptOutDegradesToForkPerExec) {
   ASSERT_EQ(outcome.status, oop::ExecStatus::kOk) << executor.last_error();
   EXPECT_FALSE(outcome.persistent);
   EXPECT_GT(outcome.aux.events, 0u);
+}
+
+// -- TCP mode: the interposers speak the session wire. --------------------
+
+TEST(Inject, TcpModeCompletesSessionsThroughInterposers) {
+  fuzz::ExecutorConfig config;
+  config.backend.kind = fuzz::BackendKind::kTcp;
+  config.backend.target_cmd = demo_cmd();
+  config.backend.target_cmd.push_back("--serve");
+  config.backend.preload = preload_path();
+  config.backend.exec_timeout_ms = kGenerousTimeoutMs;
+  config.backend.session.framing = session::Framing::kMbap;
+  config.backend.session.record_traffic = true;
+  fuzz::Executor executor(config);
+  std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+
+  Bytes two_frames = kBenign;
+  append(two_frames, ByteSpan(kBenignCoils));
+  const Bytes* sessions[] = {&kBenign, &two_frames, &kBenign, &two_frames};
+  std::uint64_t first_hash = 0;
+  for (std::size_t i = 0; i < std::size(sessions); ++i) {
+    const Bytes& stream = *sessions[i];
+    // Each execution returns only after the served counter (the write
+    // interposer) reached every message and the session counter (the
+    // close interposer) advanced past the previous session; a counter
+    // that stalled would surface as a tcp-session-deadline fault.
+    const fuzz::ExecResult& result =
+        executor.run(*placeholder, ByteSpan(stream.data(), stream.size()));
+    ASSERT_TRUE(result.faults.empty())
+        << "session " << i << ": " << result.faults[0].detail;
+    const std::size_t messages = stream.size() / kBenign.size();
+    EXPECT_EQ(result.session_messages, messages) << "session " << i;
+    EXPECT_GT(result.events, 0u) << "sancov hits of session " << i;
+    EXPECT_GT(result.trace_edges, 0u) << "session " << i;
+    const session::SessionTraffic* traffic = executor.backend().traffic();
+    ASSERT_NE(traffic, nullptr);
+    ASSERT_EQ(traffic->responses.size(), messages) << "session " << i;
+    for (const Bytes& response : traffic->responses) {
+      EXPECT_FALSE(response.empty()) << "session " << i;
+    }
+    if (i == 0) first_hash = result.trace_hash;
+    // Same stream, fresh per-session map: the same trace.
+    if (i == 2) EXPECT_EQ(result.trace_hash, first_hash);
+  }
+  EXPECT_GT(executor.edge_count(), 0u);
 }
 
 // -- Plain demo: no instrumentation, fault-driven only. -------------------

@@ -20,20 +20,34 @@
 //   * Checkpoint/resume — reached session states survive the Fuzzer
 //     checkpoint round trip and the supervise on-disk format ("sstates"),
 //     and a restored campaign continues bit-for-bit.
+//   * Lockstep transport — the sync block's futex wake word wakes a waiter
+//     promptly, times out at the deadline, and loses no wake-up over a
+//     long ping-pong; a stopped server surfaces as the tcp-session-deadline
+//     hang and the next execution respawns it; sessions leave no TIME_WAIT
+//     entries behind.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
+#include "exec_oop/shm_segment.hpp"
 
 #include "fuzzer/fuzzer.hpp"
 #include "fuzzer/instantiator.hpp"
@@ -43,6 +57,7 @@
 #include "session/sequencer.hpp"
 #include "session/session_state.hpp"
 #include "session/session_types.hpp"
+#include "session/session_wire.hpp"
 #include "supervise/checkpoint.hpp"
 #include "tests/test_support.hpp"
 #include "util/rng.hpp"
@@ -226,6 +241,110 @@ TEST(SessionSequencer, MutateStreamPreservesFramedShape) {
   }
 }
 
+// -- Sync-block wake path. -------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+std::int64_t elapsed_ms(Clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                               since)
+      .count();
+}
+
+/// The client's wait loop (TcpSessionBackend::wait_counter's shape): read
+/// the wake word, re-check the counter, sleep on the word. Returns false
+/// as soon as one sleep times out, even if the counter arrives later — a
+/// lost wake-up must show as a failure, not as a slow success.
+template <typename Load>
+bool wait_woken(std::uint8_t* segment, Load load, std::uint64_t expected,
+                int timeout_ms) {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    const std::uint32_t seen = session::sync_load_wake(segment);
+    if (load() >= expected) return true;
+    const std::int64_t left = std::max<std::int64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                              Clock::now())
+            .count(),
+        0);
+    if (!session::sync_wait(segment, seen, static_cast<int>(left))) {
+      return false;
+    }
+  }
+}
+
+TEST(SessionWire, PublishWakesTheWaiterLongBeforeTheDeadline) {
+  // A fresh segment is zero-filled: every counter and the wake word at 0.
+  oop::ShmSegment segment = oop::ShmSegment::create(session::kTcpSegmentBytes);
+  ASSERT_TRUE(segment.valid()) << segment.error();
+  std::uint8_t* seg = segment.data();
+  std::thread publisher([seg] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    session::sync_publish_served(seg, 1, 7);
+  });
+  const Clock::time_point start = Clock::now();
+  const bool woken = wait_woken(
+      seg, [seg] { return session::sync_load_served(seg); }, 1, 2000);
+  const std::int64_t waited = elapsed_ms(start);
+  publisher.join();
+  EXPECT_TRUE(woken);
+  EXPECT_LT(waited, 1000) << "the publish must wake the waiter, not the "
+                             "deadline";
+  EXPECT_EQ(session::sync_load_response_len(seg), 7u);
+}
+
+TEST(SessionWire, WaitWithoutPublisherEndsAtTheDeadline) {
+  oop::ShmSegment segment = oop::ShmSegment::create(session::kTcpSegmentBytes);
+  ASSERT_TRUE(segment.valid()) << segment.error();
+  std::uint8_t* seg = segment.data();
+  const Clock::time_point start = Clock::now();
+  const bool woken = wait_woken(
+      seg, [seg] { return session::sync_load_sessions_done(seg); }, 1, 1000);
+  const std::int64_t waited = elapsed_ms(start);
+  EXPECT_FALSE(woken);
+  EXPECT_GE(waited, 800);
+  EXPECT_LE(waited, 1200);
+}
+
+TEST(SessionWire, PingPongLosesNoWakeUp) {
+  // Two sides, each publishing one counter and waiting on the other's —
+  // both on the one shared wake word, the way server and client do. Any
+  // lost wake-up stalls one side into its (generous) timeout.
+  constexpr std::uint64_t kRounds = 100000;
+  constexpr int kTimeoutMs = 5000;
+  oop::ShmSegment segment = oop::ShmSegment::create(session::kTcpSegmentBytes);
+  ASSERT_TRUE(segment.valid()) << segment.error();
+  std::uint8_t* seg = segment.data();
+  std::uint64_t server_stalls = 0;
+  std::thread server([seg, &server_stalls] {
+    for (std::uint64_t i = 1; i <= kRounds; ++i) {
+      session::sync_publish_served(seg, i, 0);
+      const auto sessions = [seg] {
+        return session::sync_load_sessions_done(seg);
+      };
+      if (!wait_woken(seg, sessions, i, kTimeoutMs)) {
+        ++server_stalls;
+        return;
+      }
+    }
+  });
+  std::uint64_t client_stalls = 0;
+  for (std::uint64_t i = 1; i <= kRounds; ++i) {
+    if (!wait_woken(seg, [seg] { return session::sync_load_served(seg); }, i,
+                    kTimeoutMs)) {
+      ++client_stalls;
+      break;
+    }
+    session::sync_publish_session_done(seg, i);
+  }
+  server.join();
+  EXPECT_EQ(client_stalls, 0u);
+  EXPECT_EQ(server_stalls, 0u);
+  EXPECT_EQ(session::sync_load_served(seg), kRounds);
+  EXPECT_EQ(session::sync_load_sessions_done(seg), kRounds);
+}
+
 // -- The per-execution differential oracle. -------------------------------
 
 #ifdef ICSFUZZ_SHIM_PATH
@@ -318,6 +437,185 @@ TEST(SessionDifferential, FixedSeedCampaignTrajectoryIdenticalOverTcp) {
   EXPECT_EQ(in_proc.session_states, tcp.session_states);
   EXPECT_EQ(in_proc.accumulated, tcp.accumulated);
   EXPECT_GT(in_proc.session_states.size(), 0u);
+}
+
+// -- The lockstep transport against a live server. ------------------------
+
+/// Pid of this process's `icsfuzz-shim-target --tcp` child (-1: none).
+pid_t tcp_server_child() {
+  DIR* proc = ::opendir("/proc");
+  if (proc == nullptr) return -1;
+  pid_t found = -1;
+  while (const dirent* entry = ::readdir(proc)) {
+    const std::string pid_text = entry->d_name;
+    if (pid_text.empty() ||
+        pid_text.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    std::ifstream stat_file("/proc/" + pid_text + "/stat");
+    std::string stat_line;
+    std::getline(stat_file, stat_line);
+    // "pid (comm) state ppid ..." — comm may hold spaces, so parse after
+    // the last ')'.
+    const std::size_t comm_end = stat_line.rfind(')');
+    if (comm_end == std::string::npos) continue;
+    std::istringstream rest(stat_line.substr(comm_end + 1));
+    std::string state;
+    long ppid = 0;
+    rest >> state >> ppid;
+    if (ppid != ::getpid()) continue;
+    std::ifstream cmdline_file("/proc/" + pid_text + "/cmdline");
+    const std::string cmdline((std::istreambuf_iterator<char>(cmdline_file)),
+                              std::istreambuf_iterator<char>());
+    if (cmdline.find("--tcp") != std::string::npos) {
+      found = static_cast<pid_t>(std::stol(pid_text));
+      break;
+    }
+  }
+  ::closedir(proc);
+  return found;
+}
+
+/// /proc/net/tcp rows as {local port, remote port, state, inode}.
+struct TcpRow {
+  unsigned local_port = 0;
+  unsigned remote_port = 0;
+  unsigned state = 0;
+  unsigned long inode = 0;
+};
+
+std::vector<TcpRow> tcp_rows() {
+  std::vector<TcpRow> rows;
+  std::ifstream table("/proc/net/tcp");
+  std::string line;
+  std::getline(table, line);  // header
+  while (std::getline(table, line)) {
+    std::istringstream fields(line);
+    std::string slot, local, remote, state, queues, timer, retransmits, uid,
+        timeout;
+    unsigned long inode = 0;
+    fields >> slot >> local >> remote >> state >> queues >> timer >>
+        retransmits >> uid >> timeout >> inode;
+    const auto port_of = [](const std::string& address) {
+      const std::size_t colon = address.find(':');
+      return colon == std::string::npos
+                 ? 0u
+                 : static_cast<unsigned>(
+                       std::stoul(address.substr(colon + 1), nullptr, 16));
+    };
+    rows.push_back(TcpRow{port_of(local), port_of(remote),
+                          static_cast<unsigned>(std::stoul(state, nullptr, 16)),
+                          inode});
+  }
+  return rows;
+}
+
+/// The port `pid` listens on, found through its socket inodes.
+unsigned listening_port(pid_t pid) {
+  std::set<unsigned long> inodes;
+  const std::string fd_dir = "/proc/" + std::to_string(pid) + "/fd";
+  DIR* fds = ::opendir(fd_dir.c_str());
+  if (fds == nullptr) return 0;
+  while (const dirent* entry = ::readdir(fds)) {
+    char target[64] = {};
+    const std::string link = fd_dir + "/" + entry->d_name;
+    const ssize_t n = ::readlink(link.c_str(), target, sizeof target - 1);
+    if (n <= 0) continue;
+    unsigned long inode = 0;
+    if (std::sscanf(target, "socket:[%lu]", &inode) == 1) inodes.insert(inode);
+  }
+  ::closedir(fds);
+  constexpr unsigned kListen = 0x0A;
+  for (const TcpRow& row : tcp_rows()) {
+    if (row.state == kListen && inodes.count(row.inode) != 0) {
+      return row.local_port;
+    }
+  }
+  return 0;
+}
+
+bool is_transport_fault(const fuzz::ExecResult& result) {
+  for (const san::FaultReport& fault : result.faults) {
+    if (fault.site == san::site_id("tcp-server-lost") ||
+        fault.site == san::site_id("tcp-session-deadline")) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(SessionTcpTransport, SessionsLeaveNoTimeWaitEntries) {
+  const std::string project = "IEC104";
+  const std::vector<Bytes> streams = differential_streams(project, 24);
+  std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory(project)();
+  fuzz::Executor tcp(session_executor_config(
+      project, fuzz::BackendKind::kTcp, /*record_traffic=*/false));
+  for (std::size_t i = 0; i < 500; ++i) {
+    const Bytes& stream = streams[i % streams.size()];
+    const fuzz::ExecResult& result =
+        tcp.run(*placeholder, ByteSpan(stream.data(), stream.size()));
+    ASSERT_FALSE(is_transport_fault(result)) << "session " << i;
+  }
+  const pid_t server = tcp_server_child();
+  ASSERT_GT(server, 0);
+  const unsigned port = listening_port(server);
+  ASSERT_NE(port, 0u);
+  constexpr unsigned kTimeWait = 0x06;
+  std::size_t time_wait = 0;
+  for (const TcpRow& row : tcp_rows()) {
+    if (row.state == kTimeWait &&
+        (row.remote_port == port || row.local_port == port)) {
+      ++time_wait;
+    }
+  }
+  EXPECT_EQ(time_wait, 0u) << "port " << port;
+}
+
+TEST(SessionTcpTransport, StoppedServerHitsTheDeadlineThenRespawns) {
+  const std::string project = "IEC104";
+  constexpr int kDeadlineMs = 300;
+  fuzz::ExecutorConfig config = session_executor_config(
+      project, fuzz::BackendKind::kTcp, /*record_traffic=*/false);
+  config.backend.exec_timeout_ms = kDeadlineMs;
+  fuzz::Executor tcp(config);
+  fuzz::Executor in_proc(session_executor_config(
+      project, fuzz::BackendKind::kInProcess, /*record_traffic=*/false));
+  const auto factory = proto::target_factory(project);
+  std::unique_ptr<ProtocolTarget> in_proc_target = factory();
+  std::unique_ptr<ProtocolTarget> placeholder = factory();
+
+  Bytes session = kStartDtAct;
+  append(session, ByteSpan(kInterrogation));
+  const ByteSpan packet(session.data(), session.size());
+
+  const fuzz::ExecResult& first = tcp.run(*placeholder, packet);
+  ASSERT_TRUE(first.faults.empty());
+  const pid_t server = tcp_server_child();
+  ASSERT_GT(server, 0);
+  ASSERT_EQ(::kill(server, SIGSTOP), 0);
+
+  const Clock::time_point start = Clock::now();
+  const fuzz::ExecResult hung = tcp.run(*placeholder, packet);
+  const std::int64_t waited = elapsed_ms(start);
+  ASSERT_EQ(hung.faults.size(), 1u);
+  EXPECT_EQ(hung.faults[0].kind, san::FaultKind::Hang);
+  EXPECT_EQ(hung.faults[0].site, san::site_id("tcp-session-deadline"));
+  EXPECT_GE(waited, kDeadlineMs - 50);
+  EXPECT_LT(waited, kDeadlineMs + 1000);
+
+  // The stopped server was killed; the next execution spawns a fresh one
+  // and is again exactly the in-process session.
+  const fuzz::ExecResult& again = tcp.run(*placeholder, packet);
+  const fuzz::ExecResult reference = in_proc.run(*in_proc_target, packet);
+  EXPECT_NE(tcp_server_child(), server);
+  EXPECT_TRUE(again.faults.empty());
+  EXPECT_EQ(again.trace_hash, reference.trace_hash);
+  EXPECT_EQ(again.trace_edges, reference.trace_edges);
+  EXPECT_EQ(again.events, reference.events);
+  EXPECT_EQ(again.response, reference.response);
+  EXPECT_EQ(again.session_states, reference.session_states);
+  EXPECT_EQ(again.session_messages, reference.session_messages);
 }
 
 #endif  // ICSFUZZ_SHIM_PATH

@@ -415,12 +415,13 @@ TEST(TelemetryDeterminism, CampaignCountersMatchEngineTallies) {
   EXPECT_EQ(snap.gauge(Gauge::kRetainedSeeds),
             fuzzer.retained_seeds().size());
   EXPECT_EQ(snap.gauge(Gauge::kCorpusPuzzles), fuzzer.corpus().size());
-  // Latency sampling fires every 64th execution, so the histogram holds
-  // roughly executions/64 observations.
+  // Latency sampling fires every kLatencySampleInterval-th execution, so
+  // the histogram holds roughly executions/interval observations.
   const HistogramSnapshot& latency =
       snap.histogram(Histogram::kExecLatencyNs);
   EXPECT_NEAR(static_cast<double>(latency.count),
-              static_cast<double>(fuzzer.executor().executions()) / 64.0,
+              static_cast<double>(fuzzer.executor().executions()) /
+                  static_cast<double>(kLatencySampleInterval),
               2.0);
   // Every execution observes its packet size.
   EXPECT_EQ(snap.histogram(Histogram::kPacketBytes).count,
